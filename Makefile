@@ -33,7 +33,7 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzz runs of the native fuzz targets; CI smoke, not a soak. The
-# scheduled CI fuzz job runs the same six targets at FUZZTIME=5m.
+# scheduled CI fuzz job runs the same seven targets at FUZZTIME=5m.
 fuzz-smoke:
 	$(GO) test ./internal/core -run FuzzAllocate -fuzz FuzzAllocate -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/verify -run FuzzRunContinuous -fuzz FuzzRunContinuous -fuzztime $(FUZZTIME)
@@ -41,6 +41,7 @@ fuzz-smoke:
 	$(GO) test ./internal/verify -run FuzzLayoutScale -fuzz FuzzLayoutScale -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/verify -run FuzzSubtreeAggregation -fuzz FuzzSubtreeAggregation -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/search -run FuzzAnnealMoves -fuzz FuzzAnnealMoves -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/costmodel -run FuzzPlanBinding -fuzz FuzzPlanBinding -fuzztime $(FUZZTIME)
 
 # Statement-coverage gate: fails when total coverage over ./internal/...
 # drops below the floor in scripts/coverage-floor.txt.
@@ -59,7 +60,7 @@ BENCH_PKGS = ./internal/core ./internal/costmodel ./internal/sim ./internal/clus
 # -p 1 keeps package test binaries sequential: concurrently running
 # packages contaminate each other's timings.
 bench:
-	$(GO) test -p 1 -run '^$$' -bench 'BenchmarkSelect|BenchmarkJobCost$$|BenchmarkJobCost512Leaves|BenchmarkJobCost4096LeavesWide|BenchmarkRunContinuous$$|BenchmarkAllocateRelease|BenchmarkSweepGrid|BenchmarkDaemonSubmitThroughput' \
+	$(GO) test -p 1 -run '^$$' -bench 'BenchmarkSelect|BenchmarkJobCost$$|BenchmarkCandidateCostCold|BenchmarkPlanBuild|BenchmarkJobCost512Leaves|BenchmarkJobCost4096LeavesWide|BenchmarkRunContinuous$$|BenchmarkAllocateRelease|BenchmarkSweepGrid|BenchmarkDaemonSubmitThroughput' \
 		-benchtime $(BENCHTIME) -benchmem -json $(BENCH_PKGS) > BENCH_$$(date +%F).json
 	@echo "wrote BENCH_$$(date +%F).json"
 

@@ -32,7 +32,7 @@ type NoAllocConfig struct {
 
 // DefaultNoAllocConfig pins the kernels the BENCH_*.json zero-alloc
 // results depend on: leaf-schedule and subtree-aggregated evaluation,
-// pair-cache lookups, and the selector inner helpers.
+// plan binding, pair-cache lookups, and the selector inner helpers.
 var DefaultNoAllocConfig = NoAllocConfig{
 	Require: map[string][]string{
 		"repro/internal/costmodel": {
@@ -40,6 +40,7 @@ var DefaultNoAllocConfig = NoAllocConfig{
 			"leafSchedule.evalDistance",
 			"leafSchedule.evalAgg",
 			"leafSchedule.evalDistanceAgg",
+			"bindScratch.bind",
 			"pairCache.at",
 			"pairCache.atSparse",
 			"evalScratch.overlayHops",

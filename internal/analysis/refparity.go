@@ -22,12 +22,13 @@ type RefParityConfig struct {
 
 // DefaultRefParityConfig covers the two packages with fast paths:
 // cluster's per-switch free counters and incrementally maintained comm
-// shares, and costmodel's leaf-pair hops cache, schedule memo and compiled
+// shares, and costmodel's leaf-pair hops cache, schedule and plan memo
+// (scheduleCache, and planIndex, its steps-identity index) and compiled
 // leaf-aggregated schedules.
 var DefaultRefParityConfig = RefParityConfig{
 	FastPath: map[string][]string{
 		"repro/internal/cluster":   {"switchFree", "leafShare"},
-		"repro/internal/costmodel": {"pairCachePool", "scheduleCache", "leafSchedCache"},
+		"repro/internal/costmodel": {"pairCachePool", "scheduleCache", "planIndex", "leafSchedCache"},
 	},
 	OwnerType: map[string]string{
 		"repro/internal/cluster": "State",

@@ -6,6 +6,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/collective"
 	"repro/internal/topology"
+	"repro/internal/workload"
 )
 
 // BenchmarkJobCost512Leaves measures Eq. 6 on a machine four times past
@@ -150,4 +151,67 @@ func BenchmarkJobCost(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkCandidateCostCold isolates the compile step: CandidateCost on
+// a 512-rank RD candidate on Theta, cycling through more distinct node
+// lists than the 64-slot binding ring holds, so every call binds afresh.
+// "opt" binds the memoised plan by walking leaf runs; "ref" is the
+// reference allocate-cost-release loop.
+func BenchmarkCandidateCostCold(b *testing.B) {
+	topo := topology.Theta()
+	st := cluster.New(topo)
+	// 97 candidates: two leaf runs of 256 nodes, offsets drawn from k.
+	cands := make([][]int, 97)
+	for k := range cands {
+		a, c := k%110, (k*37)%110
+		nodes := append([]int(nil), topo.LeafNodes(3)[a:a+256]...)
+		cands[k] = append(nodes, topo.LeafNodes(8)[c:c+256]...)
+	}
+	for _, mode := range []struct {
+		name string
+		ref  bool
+	}{{"opt", false}, {"ref", true}} {
+		b.Run(mode.name, func(b *testing.B) {
+			SetReferenceMode(mode.ref)
+			defer SetReferenceMode(false)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := CandidateCost(st, 1, cluster.CommIntensive, cands[i%len(cands)], collective.RD); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkPlanBuild reports the one-time plan cost of a Theta-paper run:
+// one op compiles the plans of every distinct communication-intensive job
+// size the paper's tagging draws over 32 seeded 300-job Theta traces (the
+// ~430 sizes a run memoises in its first, untimed round).
+func BenchmarkPlanBuild(b *testing.B) {
+	mix := collective.SinglePattern(collective.RD, 0.7)
+	seen := make(map[int]bool)
+	var scheds [][]collective.Step
+	var sizes []int
+	for k := 0; k < 32; k++ {
+		seed := int64(1000003 + k*7919 + 1)
+		for _, j := range workload.Theta.Synthesize(300, seed).MustTag(0.9, mix, seed+1).Jobs {
+			if j.Class == cluster.CommIntensive && !seen[j.Nodes] {
+				seen[j.Nodes] = true
+				sizes = append(sizes, j.Nodes)
+				scheds = append(scheds, collective.RD.MustSchedule(j.Nodes))
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k, s := range scheds {
+			newPlan(s, sizes[k])
+		}
+	}
+	b.ReportMetric(float64(len(sizes)), "sizes")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(sizes)), "ns/plan")
 }

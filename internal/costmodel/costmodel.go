@@ -66,7 +66,7 @@ func JobCost(st *cluster.State, nodes []int, steps []collective.Step) (float64, 
 		return 0, nil
 	}
 	lay := cluster.LayoutOf(st.Topology())
-	ls, err := leafSchedFor(lay, nodes, steps)
+	ls, err := leafSchedFor(lay, nodes, steps, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -117,7 +117,7 @@ func JobCostHopBytes(st *cluster.State, nodes []int, steps []collective.Step, ba
 		return 0, nil
 	}
 	lay := cluster.LayoutOf(st.Topology())
-	ls, err := leafSchedFor(lay, nodes, steps)
+	ls, err := leafSchedFor(lay, nodes, steps, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -183,14 +183,14 @@ func CandidateCost(st *cluster.State, job cluster.JobID, class cluster.Class,
 	if err := validateCandidate(st, job, nodes); err != nil {
 		return 0, fmt.Errorf("costmodel: candidate allocate: %w", err)
 	}
-	steps, err := ScheduleFor(p, len(nodes))
+	pl, err := memoFor(p, len(nodes))
 	if err != nil {
 		return 0, err
 	}
-	if len(steps) == 0 {
+	if len(pl.steps) == 0 {
 		return 0, nil
 	}
-	ls, err := leafSchedFor(lay, nodes, steps)
+	ls, err := leafSchedFor(lay, nodes, pl.steps, pl)
 	if err != nil {
 		return 0, err
 	}

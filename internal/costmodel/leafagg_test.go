@@ -91,55 +91,52 @@ func TestLeafScheduleRegrouping(t *testing.T) {
 	}
 }
 
-// TestLeafScheduleCacheIdentity pins the compiled-schedule memo: the same
-// (steps, nodes) pair must hit the same compiled leafSchedule, and
-// different node lists over the same steps must compile separately.
-func TestLeafScheduleCacheIdentity(t *testing.T) {
-	st := leafAggState(t)
-	lay := cluster.LayoutOf(st.Topology())
-	steps, err := ScheduleFor(collective.RD, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodesA := []int{2, 3, 6, 10}
-	nodesB := []int{2, 3, 6, 11}
-	lsA1, err := leafSchedFor(lay, nodesA, steps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lsA2, err := leafSchedFor(lay, nodesA, steps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lsA1 != lsA2 {
-		t.Error("same (steps, nodes) compiled twice")
-	}
-	lsB, err := leafSchedFor(lay, nodesB, steps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lsB == lsA1 {
-		t.Error("different node lists share a compiled schedule")
-	}
-}
-
-// TestPairRangeErrorParity checks that an out-of-range schedule pair
-// produces the identical error through the kernel and the reference loop
-// (the kernel validates in reference order during compilation).
+// TestPairRangeErrorParity checks that out-of-range pairs anywhere in a
+// schedule — any quadrant, any step, behind empty and repeat steps —
+// produce the identical error through the kernel (the binder range-checks
+// against the plan, then rescans for the reference's first offender) and
+// the reference loop.
 func TestPairRangeErrorParity(t *testing.T) {
 	st := leafAggState(t)
-	nodes := []int{2, 3}
-	steps := []collective.Step{
-		{Pairs: []collective.Pair{{A: 0, B: 1}}, MsgSize: 1},
-		{Pairs: []collective.Pair{{A: 1, B: 2}}, MsgSize: 1}, // B out of range
+	ok := []collective.Pair{{A: 0, B: 1}, {A: 2, B: 3}}
+	cases := []struct {
+		name  string
+		nodes []int
+		steps []collective.Step
+	}{
+		{"B out of range", []int{2, 3}, []collective.Step{
+			{Pairs: []collective.Pair{{A: 0, B: 1}}, MsgSize: 1},
+			{Pairs: []collective.Pair{{A: 1, B: 2}}, MsgSize: 1},
+		}},
+		{"late step", []int{2, 3, 6, 10}, []collective.Step{
+			{Pairs: ok, MsgSize: 1},
+			{Pairs: nil, MsgSize: 1},
+			{Pairs: []collective.Pair{{A: 1, B: 2}, {A: 3, B: 4}, {A: -1, B: 0}}, MsgSize: 1},
+		}},
+		{"negative after large", []int{2, 3, 6, 10}, []collective.Step{
+			{Pairs: []collective.Pair{{A: 0, B: 9}, {A: -2, B: 1}}, MsgSize: 1},
+		}},
+		{"self pair out of range", []int{2, 3, 6, 10}, []collective.Step{
+			{Pairs: ok, MsgSize: 1},
+			{Pairs: []collective.Pair{{A: 5, B: 5}}, MsgSize: 1},
+		}},
+		{"after repeat", []int{2, 3, 6, 10}, []collective.Step{
+			{Pairs: ok, MsgSize: 1},
+			{Pairs: ok, MsgSize: 2},
+			{Pairs: []collective.Pair{{A: 3, B: 0}, {A: 0, B: 4}}, MsgSize: 1},
+		}},
 	}
-	_, fastErr := JobCost(st, nodes, steps)
-	_, refErr := refJobCost(t, st, nodes, steps)
-	if fastErr == nil || refErr == nil {
-		t.Fatalf("expected range errors, got fast=%v ref=%v", fastErr, refErr)
-	}
-	if fastErr.Error() != refErr.Error() {
-		t.Errorf("range error diverges:\n fast: %s\n  ref: %s", fastErr, refErr)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, fastErr := JobCost(st, tc.nodes, tc.steps)
+			_, refErr := refJobCost(t, st, tc.nodes, tc.steps)
+			if fastErr == nil || refErr == nil {
+				t.Fatalf("expected range errors, got fast=%v ref=%v", fastErr, refErr)
+			}
+			if fastErr.Error() != refErr.Error() {
+				t.Errorf("range error diverges:\n fast: %s\n  ref: %s", fastErr, refErr)
+			}
+		})
 	}
 }
 

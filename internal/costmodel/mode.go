@@ -67,7 +67,7 @@ func JobCostMode(st *cluster.State, nodes []int, steps []collective.Step, mode M
 			return 0, nil
 		}
 		lay := cluster.LayoutOf(st.Topology())
-		ls, err := leafSchedFor(lay, nodes, steps)
+		ls, err := leafSchedFor(lay, nodes, steps, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -125,14 +125,14 @@ func CandidateCostMode(st *cluster.State, job cluster.JobID, class cluster.Class
 	if err := validateCandidate(st, job, nodes); err != nil {
 		return 0, fmt.Errorf("costmodel: candidate allocate: %w", err)
 	}
-	steps, err := ScheduleFor(p, len(nodes))
+	pl, err := memoFor(p, len(nodes))
 	if err != nil {
 		return 0, err
 	}
-	if len(steps) == 0 {
+	if len(pl.steps) == 0 {
 		return 0, nil
 	}
-	ls, err := leafSchedFor(lay, nodes, steps)
+	ls, err := leafSchedFor(lay, nodes, pl.steps, pl)
 	if err != nil {
 		return 0, err
 	}

@@ -78,3 +78,74 @@ func TestNoAllocKernels(t *testing.T) {
 		})
 	}
 }
+
+// TestColdCandidateAllocs pins what pricing a candidate never seen before
+// costs in heap allocations once the pools are warm: every call misses
+// the 64-slot binding ring (the candidates cycle through more node lists
+// than it holds) and the binder itself runs in pooled scratch, so the
+// only allocations left are the ring entry's — its struct and one int32
+// slab on the flat kernel, plus the subtree stage's compilation on the
+// aggregated one.
+func TestColdCandidateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; the allocation pin is measured without -race")
+	}
+	const nCands = 3 * leafSchedSlots
+	for _, tc := range []struct {
+		name string
+		topo *topology.Topology
+		p    collective.Pattern
+		want float64
+		// cand builds the k-th candidate; all share one leaf structure,
+		// so every binding allocates alike.
+		cand func(topo *topology.Topology, k int) []int
+	}{
+		{"flat", topology.Theta(), collective.RD, 2, func(topo *topology.Topology, k int) []int {
+			// 512 ranks in two leaf runs of 256 of the 366 nodes, their
+			// offsets within the leaves drawn from k.
+			a, b := k%110, k/110
+			nodes := append([]int(nil), topo.LeafNodes(0)[a:a+256]...)
+			return append(nodes, topo.LeafNodes(1)[b:b+256]...)
+		}},
+		{"aggregated", topology.MustGenerate(topology.Spec{NodesPerLeaf: 2, Fanouts: []int{16, 16}}),
+			collective.RD, 60, func(topo *topology.Topology, k int) []int {
+				// One rank on each of 128 leaves; bits of k pick the node.
+				nodes := make([]int, 128)
+				for i := range nodes {
+					nodes[i] = topo.LeafNodes(i)[(k>>(i%8))&1]
+				}
+				return nodes
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := cluster.New(tc.topo)
+			cands := make([][]int, nCands)
+			for k := range cands {
+				cands[k] = tc.cand(tc.topo, k)
+			}
+			steps, err := ScheduleFor(tc.p, len(cands[0]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			agg, err := ScheduleAggregated(st, cands[0], steps)
+			if err != nil || agg != (tc.name == "aggregated") {
+				t.Fatalf("fixture on the wrong kernel (aggregated=%v, err=%v)", agg, err)
+			}
+			next := 0
+			price := func() {
+				if _, err := CandidateCost(st, 5, cluster.CommIntensive, cands[next%nCands], tc.p); err != nil {
+					t.Fatal(err)
+				}
+				next++
+			}
+			for range nCands {
+				price() // warm the pools and the plan memo
+			}
+			allocs := testing.AllocsPerRun(2*leafSchedSlots, price)
+			t.Logf("%s: %.2f allocs per cold candidate", tc.name, allocs)
+			if allocs != tc.want {
+				t.Errorf("%s: %.2f allocs per cold candidate, want %v", tc.name, allocs, tc.want)
+			}
+		})
+	}
+}

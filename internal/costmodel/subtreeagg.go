@@ -80,7 +80,7 @@ func ScheduleAggregated(st *cluster.State, nodes []int, steps []collective.Step)
 		return false, nil
 	}
 	lay := cluster.LayoutOf(st.Topology())
-	ls, err := leafSchedFor(lay, nodes, steps)
+	ls, err := leafSchedFor(lay, nodes, steps, nil)
 	if err != nil {
 		return false, err
 	}
@@ -226,7 +226,7 @@ func buildSubtreeSchedule(lay *cluster.Layout, ls *leafSchedule) *subtreeSchedul
 	for s := 0; s < ls.nSteps; s++ {
 		ag.intraOff[s] = int32(len(ag.intraIDs))
 		ag.stepEntOff[s] = int32(len(ag.entryBlock))
-		if ls.kind[s] != stepCompute {
+		if ls.kind[s] != StepCompute {
 			continue
 		}
 		ids := ls.ids[ls.off[s]:ls.off[s+1]]
@@ -383,9 +383,9 @@ func (ls *leafSchedule) evalAgg(st *cluster.State, overlay, hopBytes bool, baseM
 	for s := 0; s < ls.nSteps; s++ {
 		var max float64
 		switch ls.kind[s] {
-		case stepEmpty:
+		case StepEmpty:
 			continue
-		case stepRepeat:
+		case StepRepeat:
 			max = prevMax
 		default:
 			for _, id := range ag.intraIDs[ag.intraOff[s]:ag.intraOff[s+1]] {
@@ -446,9 +446,9 @@ func (ls *leafSchedule) evalDistanceAgg() float64 {
 	for s := 0; s < ls.nSteps; s++ {
 		var max float64
 		switch ls.kind[s] {
-		case stepEmpty:
+		case StepEmpty:
 			continue
-		case stepRepeat:
+		case StepRepeat:
 			max = prevMax
 		default:
 			for _, id := range ag.intraIDs[ag.intraOff[s]:ag.intraOff[s+1]] {

@@ -22,23 +22,14 @@ import (
 	"repro/internal/costmodel"
 )
 
-// Engine step kinds, mirroring the costmodel leaf-schedule compiler: a
-// compute step scans its pair list, an empty step contributes zero, and a
-// repeat step (same Pairs slice as the previous compute step) is charged
-// that step's memoised maximum.
-const (
-	stepCompute uint8 = iota
-	stepEmpty
-	stepRepeat
-)
-
 // Engine prices swap/shift moves over one candidate allocation as exact
-// deltas of Eq. 6. It compiles the collective schedule once into
-// rank-pair occurrence lists, keeps the per-occurrence Hops values and
-// per-step maxima cached, and on each move re-evaluates only the
-// occurrences whose endpoint leaves changed state — O(occurrences on the
-// two touched leaves) fresh Eq. 5 evaluations instead of the O(T²)
-// distinct leaf pairs a from-scratch costing walks.
+// deltas of Eq. 6. It reads the collective's rank-pair occurrence lists
+// from the shared costmodel.Plan (compiled once per pattern and rank
+// count), keeps the per-occurrence Hops values and per-step maxima
+// cached, and on each move re-evaluates only the occurrences whose
+// endpoint leaves changed state — O(occurrences on the two touched
+// leaves) fresh Eq. 5 evaluations instead of the O(T²) distinct leaf
+// pairs a from-scratch costing walks.
 //
 // Cost() is bit-identical to costmodel.CandidateCost on the engine's
 // current node list in every reachable state: the per-pair value uses the
@@ -62,14 +53,15 @@ type Engine struct {
 	rankLeaf []int32 // rank -> leaf index
 	inCand   map[int]int32
 
-	// Compiled schedule: kind/uniq per original step (repeat steps share
-	// the unique id of the compute step whose Pairs slice they alias),
-	// occA/occB the flattened rank pairs of the unique steps
-	// (uoff[u]:uoff[u+1] is unique step u's occurrence range), and a CSR
-	// rank -> occurrence index so moves can find the values they dirty.
-	nSteps int
-	kind   []uint8
-	uniq   []int32
+	// Compiled schedule, shared read-only with the costmodel.Plan: kind/
+	// uniq per original step (repeat steps share the unique id of the
+	// compute step whose Pairs slice they alias), occA/occB the flattened
+	// rank pairs of the unique steps (uoff[u]:uoff[u+1] is unique step u's
+	// occurrence range), occStep each occurrence's unique step, and the
+	// CSR rank -> occurrence index so moves can find the values they dirty.
+	nSteps  int
+	kind    []uint8
+	uniq    []int32
 	occA    []int32
 	occB    []int32
 	occStep []int32
@@ -115,7 +107,7 @@ func NewEngine(st *cluster.State, job cluster.JobID, class cluster.Class,
 	if st.Allocation(job) != nil {
 		return nil, fmt.Errorf("search: job %d already allocated", job)
 	}
-	steps, err := costmodel.ScheduleFor(p, len(nodes))
+	pl, err := costmodel.PlanFor(p, len(nodes))
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +118,9 @@ func NewEngine(st *cluster.State, job cluster.JobID, class cluster.Class,
 		overlay: class == cluster.CommIntensive,
 		nodes:   append([]int(nil), nodes...),
 		inCand:  make(map[int]int32, len(nodes)),
-		nSteps:  len(steps),
+		nSteps:  len(pl.Kinds()),
+		kind:    pl.Kinds(),
+		uniq:    pl.Uniq(),
 	}
 	n := st.Topology().NumNodes()
 	for r, id := range e.nodes {
@@ -141,84 +135,15 @@ func NewEngine(st *cluster.State, job cluster.JobID, class cluster.Class,
 		}
 		e.inCand[id] = int32(r)
 	}
-	if err := e.compile(steps); err != nil {
-		return nil, err
-	}
+	e.occA, e.occB, e.uoff = pl.Occurrences()
+	e.occStep, e.rocOff, e.rocIdx = pl.RankOccurrences()
+	nu := len(e.uoff) - 1
+	e.val = make([]float64, len(e.occA))
+	e.stepMax = make([]float64, nu)
+	e.dirtyStamp = make([]uint32, nu)
 	e.initLeaves()
 	e.initValues()
 	return e, nil
-}
-
-// compile flattens the schedule into unique-step occurrence lists and the
-// rank -> occurrence CSR, with the same empty/repeat classification and
-// the same same-node pair skip as the costmodel compiler (candidate nodes
-// are distinct, so a same-node pair is exactly a same-rank pair).
-func (e *Engine) compile(steps []collective.Step) error {
-	p := len(e.nodes)
-	e.kind = make([]uint8, len(steps))
-	e.uniq = make([]int32, len(steps))
-	var prevPairs *collective.Pair
-	prevUniq := int32(-1)
-	for s := range steps {
-		step := &steps[s]
-		if len(step.Pairs) == 0 {
-			e.kind[s] = stepEmpty
-			continue
-		}
-		if prevPairs == &step.Pairs[0] {
-			e.kind[s] = stepRepeat
-			e.uniq[s] = prevUniq
-			continue
-		}
-		prevPairs = &step.Pairs[0]
-		u := int32(len(e.uoff))
-		e.uoff = append(e.uoff, int32(len(e.occA)))
-		for _, pr := range step.Pairs {
-			if pr.A < 0 || pr.A >= p || pr.B < 0 || pr.B >= p {
-				return fmt.Errorf("search: step %d pair (%d,%d) out of range for %d nodes",
-					s, pr.A, pr.B, p)
-			}
-			if pr.A == pr.B {
-				continue // Hops(i,i) = 0, never the max
-			}
-			e.occA = append(e.occA, int32(pr.A))
-			e.occB = append(e.occB, int32(pr.B))
-		}
-		e.kind[s] = stepCompute
-		e.uniq[s] = u
-		prevUniq = u
-	}
-	e.uoff = append(e.uoff, int32(len(e.occA)))
-	e.occStep = make([]int32, len(e.occA))
-	for u := 0; u < len(e.uoff)-1; u++ {
-		for i := e.uoff[u]; i < e.uoff[u+1]; i++ {
-			e.occStep[i] = int32(u)
-		}
-	}
-
-	counts := make([]int32, p+1)
-	for i := range e.occA {
-		counts[e.occA[i]]++
-		counts[e.occB[i]]++
-	}
-	e.rocOff = make([]int32, p+1)
-	for r := 0; r < p; r++ {
-		e.rocOff[r+1] = e.rocOff[r] + counts[r]
-	}
-	e.rocIdx = make([]int32, e.rocOff[p])
-	fill := make([]int32, p)
-	copy(fill, e.rocOff[:p])
-	for i := range e.occA {
-		a, b := e.occA[i], e.occB[i]
-		e.rocIdx[fill[a]] = int32(i)
-		fill[a]++
-		e.rocIdx[fill[b]] = int32(i)
-		fill[b]++
-	}
-	e.val = make([]float64, len(e.occA))
-	e.stepMax = make([]float64, len(e.uoff)-1)
-	e.dirtyStamp = make([]uint32, len(e.uoff)-1)
-	return nil
 }
 
 // initLeaves builds the per-leaf candidate counts, overlay counters and
@@ -468,7 +393,7 @@ func (e *Engine) rescanStep(u int32) {
 func (e *Engine) recomputeTotal() {
 	total := 0.0
 	for s := 0; s < e.nSteps; s++ {
-		if e.kind[s] == stepEmpty {
+		if e.kind[s] == costmodel.StepEmpty {
 			continue
 		}
 		total += e.stepMax[e.uniq[s]]

@@ -13,7 +13,7 @@ GO=${GO:-go}
 BENCHTIME=${BENCHTIME:-1s}
 BENCHCOUNT=${BENCHCOUNT:-3}
 BENCH_PKGS="./internal/core ./internal/costmodel ./internal/sim ./internal/cluster ./internal/sweep ./internal/daemon"
-BENCH_RE='BenchmarkSelect|BenchmarkJobCost$|BenchmarkJobCost512Leaves|BenchmarkJobCost4096LeavesWide|BenchmarkRunContinuous$|BenchmarkAllocateRelease|BenchmarkSweepGrid|BenchmarkDaemonSubmitThroughput'
+BENCH_RE='BenchmarkSelect|BenchmarkJobCost$|BenchmarkCandidateCostCold|BenchmarkPlanBuild|BenchmarkJobCost512Leaves|BenchmarkJobCost4096LeavesWide|BenchmarkRunContinuous$|BenchmarkAllocateRelease|BenchmarkSweepGrid|BenchmarkDaemonSubmitThroughput'
 
 # Baseline: the newest committed artifact (dated names sort chronologically).
 base=$(git ls-files 'BENCH_*.json' | sort | tail -1)
